@@ -48,21 +48,25 @@ void BM_EngineRun(benchmark::State& state) {
 BENCHMARK(BM_EngineRun)->Args({3, 500})->Args({5, 2000})->Args({10, 5000})
     ->Unit(benchmark::kMillisecond);
 
-// The two-phase engine sweep at an explicit pool size (compare threads:1 vs
-// threads:4 rows), plus the serial reference sweep (serial:1) that the
-// determinism suite diffs against. Sensor output is bitwise-identical across
-// every row; only wall time changes. On a single-core host the CPU/iter
-// column still shows the coordination overhead the pool adds, which is the
-// number worth tracking there.
+// The two-phase engine sweep at an explicit pool size on a grid x grid net
+// with `vehicles` trips (compare threads:1 vs threads:4 rows of one size),
+// plus the serial reference sweep (serial:1) that the determinism suite
+// diffs against. Sensor output is bitwise-identical across every row; only
+// wall time changes. The 16x16 and 32x32 rows locate where the in-step
+// sweep starts to pay for a lone run (bench/README.md has the numbers); on a
+// single-core host the CPU/iter column still shows the coordination
+// overhead the pool adds, which is the number worth tracking there.
 void BM_EngineRunThreaded(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const bool force_serial = state.range(1) != 0;
+  const int grid = static_cast<int>(state.range(2));
+  const int vehicles = static_cast<int>(state.range(3));
   SetGlobalThreads(threads);
-  sim::RoadNet net = sim::MakeGridNetwork(8, 8, 300.0, 2, 13.89);
+  sim::RoadNet net = sim::MakeGridNetwork(grid, grid, 300.0, 2, 13.89);
   sim::Router router(&net);
   Rng rng(1);
   std::vector<sim::TripRequest> trips;
-  for (int i = 0; i < 3000; ++i) {
+  for (int i = 0; i < vehicles; ++i) {
     const int o = rng.UniformInt(0, net.num_intersections() - 1);
     int d = rng.UniformInt(0, net.num_intersections() - 1);
     if (d == o) d = (d + 1) % net.num_intersections();
@@ -79,15 +83,22 @@ void BM_EngineRunThreaded(benchmark::State& state) {
   }
   state.counters["threads"] = threads;
   state.counters["serial"] = force_serial ? 1 : 0;
+  state.counters["veh"] = vehicles;
   state.counters["steps/s"] = benchmark::Counter(
       3600.0 * state.iterations(), benchmark::Counter::kIsRate);
   SetGlobalThreads(1);
 }
 BENCHMARK(BM_EngineRunThreaded)
-    ->Args({1, 1})  // serial reference sweep
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({4, 0})
+    ->ArgNames({"threads", "serial", "grid", "veh"})
+    ->Args({1, 1, 8, 3000})  // serial reference sweep
+    ->Args({1, 0, 8, 3000})
+    ->Args({2, 0, 8, 3000})
+    ->Args({4, 0, 8, 3000})
+    ->Args({1, 0, 16, 8000})
+    ->Args({4, 0, 16, 8000})
+    ->Args({1, 1, 32, 20000})
+    ->Args({1, 0, 32, 20000})
+    ->Args({4, 0, 32, 20000})
     ->Unit(benchmark::kMillisecond);
 
 void BM_Dijkstra(benchmark::State& state) {

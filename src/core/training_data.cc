@@ -4,6 +4,7 @@
 
 #include "od/demand.h"
 #include "od/patterns.h"
+#include "util/thread_pool.h"
 
 namespace ovs::core {
 
@@ -30,9 +31,8 @@ TrainingSample SimulateTod(const data::Dataset& dataset,
   Rng rng(seed);
   od::DemandGenerator demand(&dataset.net, &dataset.regions, &dataset.od_set,
                              dataset.config.interval_s);
-  std::vector<sim::TripRequest> trips = demand.Generate(tod, &rng);
-  sim::SensorData sensors =
-      sim::Simulate(dataset.net, dataset.engine_config, trips, works);
+  sim::SensorData sensors = sim::Simulate(
+      dataset.net, dataset.engine_config, demand.Generate(tod, &rng), works);
   TrainingSample sample;
   sample.tod = tod;
   sample.volume = std::move(sensors.volume);
@@ -53,16 +53,24 @@ TrainingData GenerateTrainingData(const data::Dataset& dataset, int num_samples,
   std::vector<od::TodTensor> tods = od::GenerateTrainingTods(
       num_samples, dataset.num_od(), dataset.num_intervals(), pc, &rng);
 
+  // The samples are independent simulations: sample i has its own seed and
+  // writes only its own slot, so running them side by side changes no bit
+  // at any pool size. The simulator's per-step ParallelFors nested in a
+  // sample run serially (ThreadPool's nested-region rule).
   TrainingData out;
-  out.samples.reserve(tods.size());
+  out.samples.resize(tods.size());
+  const int64_t n = static_cast<int64_t>(tods.size());
+  ParallelFor(0, n, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      out.samples[i] = SimulateTod(dataset, tods[i],
+                                   seed + 1000 + static_cast<uint64_t>(i));
+    }
+  });
   double tod_max = 1.0, vol_max = 1.0, speed_max = 1.0;
-  for (size_t i = 0; i < tods.size(); ++i) {
-    TrainingSample sample =
-        SimulateTod(dataset, tods[i], seed + 1000 + i);
+  for (const TrainingSample& sample : out.samples) {
     tod_max = std::max(tod_max, sample.tod.mat().Max());
     vol_max = std::max(vol_max, sample.volume.Max());
     speed_max = std::max(speed_max, sample.speed.Max());
-    out.samples.push_back(std::move(sample));
   }
   // Headroom so the sigmoid ceilings sit above every observed value.
   out.tod_scale = tod_max * 1.2;

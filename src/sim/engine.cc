@@ -86,7 +86,31 @@ void Engine::AddTrip(TripRequest trip) {
   depart_time_.push_back(trip.depart_time_s);
   spawn_time_.push_back(-1.0);
   active_.push_back(0);
-  traces_.emplace_back();
+  if (config_.record_trajectories) traces_.emplace_back();
+}
+
+void Engine::AddTrips(std::vector<TripRequest>&& trips) {
+  // Exact reservations: the arrays would otherwise grow by doubling, and
+  // several engines may be running side by side (GenerateTrainingData).
+  size_t vehicles = 0, links = 0;
+  for (const TripRequest& trip : trips) {
+    if (trip.route.empty()) continue;
+    ++vehicles;
+    links += trip.route.size();
+  }
+  const size_t total = pos_.size() + vehicles;
+  route_links_.reserve(route_links_.size() + links);
+  route_begin_.reserve(total + 1);
+  route_idx_.reserve(total);
+  lane_.reserve(total);
+  pos_.reserve(total);
+  speed_.reserve(total);
+  depart_time_.reserve(total);
+  spawn_time_.reserve(total);
+  active_.reserve(total);
+  if (config_.record_trajectories) traces_.reserve(total);
+  for (TripRequest& trip : trips) AddTrip(std::move(trip));
+  std::vector<TripRequest>().swap(trips);
 }
 
 double Engine::LinkDesiredSpeed(LinkId id) const {
@@ -484,11 +508,11 @@ SensorData Engine::Run() {
 }
 
 SensorData Simulate(const RoadNet& net, const EngineConfig& config,
-                    const std::vector<TripRequest>& trips,
+                    std::vector<TripRequest> trips,
                     const std::vector<RoadWork>& works) {
   Engine engine(&net, config);
   engine.ApplyRoadWork(works);
-  for (const TripRequest& trip : trips) engine.AddTrip(trip);
+  engine.AddTrips(std::move(trips));
   return engine.Run();
 }
 

@@ -2,6 +2,7 @@
 #define OVS_SIM_ENGINE_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -98,6 +99,43 @@ struct SensorData {
   std::vector<VehicleTrace> trajectories;
 };
 
+/// FIFO of vehicle indices on one lane, front (largest pos) first: a vector
+/// plus a head index. An unused lane allocates nothing (a std::deque
+/// allocates ~0.5 KB up front), pop_front only advances the head, and the
+/// dead prefix is dropped once it outgrows the live part, so memory stays
+/// proportional to the lane's peak occupancy.
+class LaneQueue {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  size_t size() const { return items_.size() - head_; }
+  int operator[](size_t i) const { return items_[head_ + i]; }
+  int front() const { return items_[head_]; }
+  int back() const { return items_.back(); }
+  const int* begin() const { return items_.data() + head_; }
+  const int* end() const { return items_.data() + items_.size(); }
+
+  void push_back(int vehicle) { items_.push_back(vehicle); }
+  void pop_front() {
+    ++head_;
+    if (head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    } else if (head_ >= kCompactAt && 2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+ private:
+  /// Dead-prefix length below which compaction is skipped: a short prefix
+  /// costs a few bytes, a memmove on every other pop would cost time.
+  static constexpr size_t kCompactAt = 16;
+
+  std::vector<int> items_;
+  size_t head_ = 0;
+};
+
 /// Microscopic traffic simulator: Krauss car-following on multi-lane links,
 /// two-phase fixed signals, queue spillback across links, and per-interval
 /// link sensors. Deterministic: same network + trips => same sensor output,
@@ -109,8 +147,18 @@ struct SensorData {
 /// previous step's state), phase 2 commits completions and link transfers
 /// serially in canonical link-id order. See DESIGN.md "Parallel simulator".
 ///
-/// Usage: construct, optionally ApplyRoadWork, AddTrip for every vehicle,
-/// then Run() once. The engine is single-shot; build a new one per scenario.
+/// Where the parallelism pays: the in-step sweep only helps a lone, large
+/// run. On a 4-core host a 32x32 grid with 20k trips runs about 1.3x faster
+/// at 4 threads than at 1; 16x16 with 8k trips breaks even, and 8x8 with
+/// 3k trips and the Manhattan preset run slower threaded (bench/README.md).
+/// Batches of independent runs -- core::GenerateTrainingData -- instead run
+/// whole simulations side by side on the pool; the sweeps nested inside
+/// them then run serially (ThreadPool's nested-region rule), so an engine
+/// never needs to know which case it is in.
+///
+/// Usage: construct, optionally ApplyRoadWork, AddTrip (or AddTrips) for
+/// every vehicle, then Run() once. The engine is single-shot; build a new one
+/// per scenario.
 class Engine {
  public:
   Engine(const RoadNet* net, EngineConfig config);
@@ -124,6 +172,12 @@ class Engine {
   /// Queues one vehicle. Must precede Run(). Trips with empty routes are
   /// counted as completed immediately.
   void AddTrip(TripRequest trip);
+
+  /// Queues every trip of `trips`, reserving the vehicle arrays for them up
+  /// front. The list is consumed and left empty with its memory released:
+  /// each route is freed as soon as it is copied in, so no second copy of
+  /// the routes is held during Run().
+  void AddTrips(std::vector<TripRequest>&& trips);
 
   /// Runs the full horizon and returns the sensor observations.
   SensorData Run();
@@ -147,7 +201,7 @@ class Engine {
     return static_cast<int>(link_states_[link].lanes.size());
   }
   /// Lane queue, front (largest pos) first.
-  const std::deque<int>& lane_queue(LinkId link, int lane) const {
+  const LaneQueue& lane_queue(LinkId link, int lane) const {
     return link_states_[link].lanes[lane];
   }
   double vehicle_pos(int v) const { return pos_[v]; }
@@ -168,7 +222,7 @@ class Engine {
  private:
   struct LinkRuntime {
     /// Vehicle indices per lane, ordered front (largest pos) first.
-    std::vector<std::deque<int>> lanes;
+    std::vector<LaneQueue> lanes;
     double speed_factor = 1.0;
     int usable_lanes = 1;
   };
@@ -256,6 +310,7 @@ class Engine {
   std::vector<double> depart_time_;
   std::vector<double> spawn_time_;
   std::vector<char> active_;
+  /// One trace per vehicle; empty unless EngineConfig::record_trajectories.
   std::vector<VehicleTrace> traces_;
 
   std::vector<LinkRuntime> link_states_;
@@ -285,10 +340,12 @@ class Engine {
   std::function<void(const Engine&, int step)> step_observer_;
 };
 
-/// Convenience wrapper: builds an engine, loads `trips`, applies `works`, and
+/// Convenience wrapper: builds an engine, applies `works`, loads `trips`, and
 /// runs. This is the `TOD -> (volume, speed)` oracle used by the estimators.
+/// `trips` is consumed before the run starts (see Engine::AddTrips); pass it
+/// with std::move when the caller no longer needs it.
 SensorData Simulate(const RoadNet& net, const EngineConfig& config,
-                    const std::vector<TripRequest>& trips,
+                    std::vector<TripRequest> trips,
                     const std::vector<RoadWork>& works = {});
 
 }  // namespace ovs::sim

@@ -180,6 +180,11 @@ struct CityScale {
   int tolerance_roads;
 };
 
+// Without this gtest prints the raw bytes of the struct, which include the
+// address of `name`; that address moves from run to run, and so would the
+// listed test names.
+void PrintTo(const CityScale& scale, std::ostream* os) { *os << scale.name; }
+
 class CityPresetTest : public ::testing::TestWithParam<CityScale> {};
 
 TEST_P(CityPresetTest, MatchesTableIIIScale) {

@@ -7,6 +7,7 @@
 #include <tuple>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -255,6 +256,77 @@ TEST(ParallelDeterminismTest, SimulateBitwiseIdenticalAcrossThreadCounts) {
     EXPECT_EQ(reference.spawned_trips, got.spawned_trips);
     EXPECT_EQ(reference.completed_trips, got.completed_trips);
     EXPECT_EQ(reference.mean_travel_time_s, got.mean_travel_time_s);
+  }
+}
+
+void ExpectSamplesIdentical(const core::TrainingSample& a,
+                            const core::TrainingSample& b,
+                            const std::string& what) {
+  const DMat* pairs[][2] = {{&a.tod.mat(), &b.tod.mat()},
+                            {&a.volume, &b.volume},
+                            {&a.speed, &b.speed}};
+  for (const auto& [x, y] : pairs) {
+    ASSERT_EQ(x->rows(), y->rows()) << what;
+    ASSERT_EQ(x->cols(), y->cols()) << what;
+    for (int r = 0; r < x->rows(); ++r) {
+      for (int c = 0; c < x->cols(); ++c) {
+        ASSERT_EQ(x->at(r, c), y->at(r, c)) << what << " (" << r << "," << c
+                                            << ")";
+      }
+    }
+  }
+}
+
+// GenerateTrainingData runs its samples side by side on the pool. Its seed
+// contract -- sample i is SimulateTod(tods[i], seed + 1000 + i), scales
+// folded in index order -- must make every pool size produce the same bits
+// as a plain serial loop over SimulateTod.
+TEST(ParallelDeterminismTest, GenerateTrainingDataBitwiseAcrossPoolSizes) {
+  // A 30-minute horizon keeps the 45 simulations affordable under TSan.
+  data::DatasetConfig config = data::Synthetic3x3Config();
+  config.num_intervals = 3;
+  const data::Dataset ds = data::BuildDataset(config);
+  constexpr uint64_t kSeed = 61;
+  for (int num_samples : {1, 3, 5}) {
+    core::TrainingData reference;
+    {
+      ThreadGuard guard(1);
+      reference = core::GenerateTrainingData(ds, num_samples, kSeed);
+    }
+    ASSERT_EQ(static_cast<int>(reference.samples.size()), num_samples);
+
+    // The hand loop, fed the TOD tensors the batch drew.
+    double tod_max = 1.0, vol_max = 1.0, speed_max = 1.0;
+    for (int i = 0; i < num_samples; ++i) {
+      const core::TrainingSample& got = reference.samples[i];
+      const core::TrainingSample want =
+          core::SimulateTod(ds, got.tod, kSeed + 1000 + i);
+      ExpectSamplesIdentical(want, got, "hand loop sample " +
+                                            std::to_string(i) + " of " +
+                                            std::to_string(num_samples));
+      tod_max = std::max(tod_max, want.tod.mat().Max());
+      vol_max = std::max(vol_max, want.volume.Max());
+      speed_max = std::max(speed_max, want.speed.Max());
+    }
+    EXPECT_EQ(reference.tod_scale, tod_max * 1.2);
+    EXPECT_EQ(reference.volume_norm, vol_max);
+    EXPECT_EQ(reference.speed_scale, speed_max * 1.05);
+
+    for (int threads : {2, 3, 4}) {
+      ThreadGuard guard(threads);
+      const core::TrainingData got =
+          core::GenerateTrainingData(ds, num_samples, kSeed);
+      const std::string what = std::to_string(num_samples) + " samples @" +
+                               std::to_string(threads) + " threads";
+      ASSERT_EQ(got.samples.size(), reference.samples.size()) << what;
+      for (size_t i = 0; i < got.samples.size(); ++i) {
+        ExpectSamplesIdentical(reference.samples[i], got.samples[i],
+                               what + " sample " + std::to_string(i));
+      }
+      EXPECT_EQ(got.tod_scale, reference.tod_scale) << what;
+      EXPECT_EQ(got.volume_norm, reference.volume_norm) << what;
+      EXPECT_EQ(got.speed_scale, reference.speed_scale) << what;
+    }
   }
 }
 

@@ -16,16 +16,16 @@
 namespace ovs {
 namespace {
 
-/// Simulates the synthetic city with trajectory recording on.
+/// Simulates the synthetic city, by default with trajectory recording on.
 sim::SensorData SimulateWithTraces(const data::Dataset& ds,
-                                   const od::TodTensor& tod, uint64_t seed) {
+                                   const od::TodTensor& tod, uint64_t seed,
+                                   bool record = true) {
   Rng rng(seed);
   od::DemandGenerator gen(&ds.net, &ds.regions, &ds.od_set,
                           ds.config.interval_s);
-  std::vector<sim::TripRequest> trips = gen.Generate(tod, &rng);
   sim::EngineConfig config = ds.engine_config;
-  config.record_trajectories = true;
-  return sim::Simulate(ds.net, config, trips);
+  config.record_trajectories = record;
+  return sim::Simulate(ds.net, config, gen.Generate(tod, &rng));
 }
 
 class TrajectoryPipelineTest : public ::testing::Test {
@@ -78,6 +78,26 @@ TEST_F(TrajectoryPipelineTest, TracesRecordedForSpawnedVehicles) {
     }
   }
   EXPECT_EQ(with_route, sensors().spawned_trips);
+}
+
+// Recording is bookkeeping only: the same trips with recording off give the
+// same sensor bits, and no traces.
+TEST_F(TrajectoryPipelineTest, RecordingLeavesSensorsUnchanged) {
+  const sim::SensorData plain =
+      SimulateWithTraces(dataset(), light_tod(), 4242, /*record=*/false);
+  EXPECT_TRUE(plain.trajectories.empty());
+  EXPECT_FALSE(sensors().trajectories.empty());
+  ASSERT_EQ(plain.volume.rows(), sensors().volume.rows());
+  ASSERT_EQ(plain.volume.cols(), sensors().volume.cols());
+  for (int l = 0; l < plain.volume.rows(); ++l) {
+    for (int t = 0; t < plain.volume.cols(); ++t) {
+      ASSERT_EQ(plain.volume.at(l, t), sensors().volume.at(l, t));
+      ASSERT_EQ(plain.speed.at(l, t), sensors().speed.at(l, t));
+    }
+  }
+  EXPECT_EQ(plain.spawned_trips, sensors().spawned_trips);
+  EXPECT_EQ(plain.completed_trips, sensors().completed_trips);
+  EXPECT_EQ(plain.mean_travel_time_s, sensors().mean_travel_time_s);
 }
 
 TEST_F(TrajectoryPipelineTest, FinishTimesSetForCompletedTrips) {

@@ -23,7 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -76,8 +75,8 @@ class SimInvariantChecker {
     for (LinkId l = 0; l < net_->num_links(); ++l) {
       const Link& link = net_->link(l);
       for (int lane = 0; lane < e.num_lanes(l); ++lane) {
-        const std::deque<int>& q = e.lane_queue(l, lane);
-        const std::deque<int>& prev = prev_queues_[l][lane];
+        const LaneQueue& q = e.lane_queue(l, lane);
+        std::vector<int>& prev = prev_queues_[l][lane];
 
         // Capacity: vehicles are at least veh_len apart (checked below), so
         // a lane of length L fits at most floor(L / veh_len) + 1 of them.
@@ -132,7 +131,7 @@ class SimInvariantChecker {
               << tag_ << ": FIFO order broken, link " << l << " lane " << lane
               << " step " << step;
         }
-        prev_queues_[l][lane] = q;
+        prev.assign(q.begin(), q.end());
       }
     }
     EXPECT_EQ(on_network, e.active_vehicles())
@@ -143,7 +142,7 @@ class SimInvariantChecker {
   const RoadNet* net_;
   std::string tag_;
   int baseline_completed_;
-  std::vector<std::vector<std::deque<int>>> prev_queues_;
+  std::vector<std::vector<std::vector<int>>> prev_queues_;
   int steps_ = 0;
 };
 

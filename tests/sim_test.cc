@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <vector>
 
 #include "sim/car_following.h"
 #include "sim/engine.h"
@@ -378,6 +381,66 @@ TEST(EngineTest, Deterministic) {
   SensorData b = Simulate(net, ShortConfig(), trips);
   EXPECT_NEAR(Rmse(a.volume, b.volume), 0.0, 1e-12);
   EXPECT_NEAR(Rmse(a.speed, b.speed), 0.0, 1e-12);
+}
+
+// AddTrips (what Simulate uses) is only a reserving batch of AddTrip calls:
+// the same trips, including an empty route, give the same bits either way.
+TEST(EngineTest, AddTripsMatchesAddTripLoop) {
+  RoadNet net = MakeGridNetwork(3, 3, 200.0, 1, 10.0);
+  Router router(&net);
+  std::vector<TripRequest> trips;
+  for (int i = 0; i < 60; ++i) {
+    trips.push_back({i * 4.0, router.CachedRoute(i % 9, 8 - i % 9).value()});
+  }
+  Engine one_by_one(&net, ShortConfig());
+  for (const TripRequest& trip : trips) one_by_one.AddTrip(trip);
+  Engine batched(&net, ShortConfig());
+  std::vector<TripRequest> consumed = trips;
+  batched.AddTrips(std::move(consumed));
+  EXPECT_TRUE(consumed.empty());
+  EXPECT_EQ(batched.num_vehicles(), one_by_one.num_vehicles());
+  EXPECT_EQ(batched.completed_trips(), one_by_one.completed_trips());
+  const SensorData a = one_by_one.Run();
+  const SensorData b = batched.Run();
+  for (int l = 0; l < a.volume.rows(); ++l) {
+    for (int t = 0; t < a.volume.cols(); ++t) {
+      ASSERT_EQ(a.volume.at(l, t), b.volume.at(l, t));
+      ASSERT_EQ(a.speed.at(l, t), b.speed.at(l, t));
+    }
+  }
+  EXPECT_EQ(a.completed_trips, b.completed_trips);
+  EXPECT_EQ(a.mean_travel_time_s, b.mean_travel_time_s);
+}
+
+// The lane FIFO against std::deque through enough pops to compact the dead
+// prefix many times, with the queue emptied and refilled along the way.
+TEST(LaneQueueTest, MatchesDequeAcrossCompaction) {
+  LaneQueue q;
+  std::deque<int> ref;
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.begin(), q.end());
+  int next = 0;
+  for (int round = 0; round < 400; ++round) {
+    const int pushes = round % 7 == 0 ? 40 : round % 3;
+    for (int i = 0; i < pushes; ++i) {
+      q.push_back(next);
+      ref.push_back(next);
+      ++next;
+    }
+    const int pops = round % 5 == 0 ? 30 : 1;
+    for (int i = 0; i < pops && !ref.empty(); ++i) {
+      ASSERT_EQ(q.front(), ref.front());
+      q.pop_front();
+      ref.pop_front();
+    }
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.empty(), ref.empty());
+    if (!ref.empty()) {
+      ASSERT_EQ(q.back(), ref.back());
+    }
+    for (size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(q[i], ref[i]);
+    ASSERT_TRUE(std::equal(q.begin(), q.end(), ref.begin(), ref.end()));
+  }
 }
 
 TEST(EngineTest, CongestionReducesSpeed) {
